@@ -107,6 +107,11 @@ func newProfKey(service string, args []string) profKey {
 type profEntry struct {
 	sampler  *stats.Sampler
 	interest int
+	// started is closed once the creator's sampler.Start returned (its
+	// synchronous first sample taken); startErr is its result. Joiners wait
+	// on it so a Get right after any Start never misses.
+	started  chan struct{}
+	startErr error
 }
 
 // cacheEntry is one cached instant measurement.
@@ -350,7 +355,8 @@ func (m *Monitor) Start(interval time.Duration, service string, args ...string) 
 	if e, ok := m.profiles[key]; ok {
 		e.interest++
 		m.mu.Unlock()
-		return nil
+		<-e.started
+		return e.startErr
 	}
 	fn, ok := m.services[service]
 	if !ok {
@@ -363,22 +369,24 @@ func (m *Monitor) Start(interval time.Duration, service string, args ...string) 
 		m.mu.Unlock()
 		return err
 	}
-	entry := &profEntry{sampler: sampler, interest: 1}
+	entry := &profEntry{sampler: sampler, interest: 1, started: make(chan struct{})}
 	m.profiles[key] = entry
 	m.mu.Unlock()
 
 	// The sampler takes a synchronous first sample, and service functions
 	// may need the monitor mutex (e.g. invocationRate) — so it must start
 	// outside the lock.
-	if err := sampler.Start(interval); err != nil {
+	err = sampler.Start(interval)
+	if err != nil {
 		m.mu.Lock()
 		if m.profiles[key] == entry {
 			delete(m.profiles, key)
 		}
 		m.mu.Unlock()
-		return err
 	}
-	return nil
+	entry.startErr = err
+	close(entry.started)
+	return err
 }
 
 // Get returns the current exponential average of a continuously profiled

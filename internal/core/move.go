@@ -194,6 +194,7 @@ func (c *Core) moveCommand(ctx context.Context, target ids.CompletID, hint ids.C
 		if local {
 			err := c.moveLocal(ctx, target, dest, contMethod, contArgs, opts)
 			if err == errStaleLocal {
+				c.met.staleLocal.Inc()
 				continue
 			}
 			return err
@@ -567,8 +568,13 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 		DurationNanos: time.Since(protoStart).Nanoseconds(),
 		Detail:        fmt.Sprintf("%d complet(s)", len(entries)),
 	})
+	// Repoint the trackers while the W locks are still held: an invocation
+	// blocked on moveMu that wakes to find its complet gone must already
+	// see a forwarder, so it pays one stale-local retry instead of spinning
+	// on a tracker that still says "local" (DESIGN.md §7).
 	for _, e := range locked {
 		e.gone = true
+		c.remove(e.id, dest)
 	}
 	unlock()
 	// The departed complets' accounting now lives at the destination
@@ -577,7 +583,6 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 	c.mon.dropMeters(pm.complets)
 	c.mon.dropMethodMeters(pm.complets)
 	for _, e := range locked {
-		c.remove(e.id, dest)
 		if cb, ok := e.anchor.(PostDeparture); ok {
 			cb.PostDeparture(dest)
 		}
@@ -620,6 +625,7 @@ func (c *Core) cloneCommand(ctx context.Context, target ids.CompletID, dest ids.
 		if local {
 			newID, err := c.cloneLocal(ctx, target, dest, opts)
 			if err == errStaleLocal {
+				c.met.staleLocal.Inc()
 				continue
 			}
 			return newID, err

@@ -23,6 +23,9 @@ type coreMetrics struct {
 	invokeFwd     *stats.Counter
 	invokeErrs    *stats.Counter
 	invokeLatency *stats.Histogram
+	// staleLocal counts retries after a tracker said "local" but the
+	// complet had already left (errStaleLocal): one per raced move.
+	staleLocal *stats.Counter
 
 	moves       *stats.Counter
 	moveErrs    *stats.Counter
@@ -47,6 +50,7 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		invokeFwd:     reg.Counter("invoke_forwarded_total"),
 		invokeErrs:    reg.Counter("invoke_errors_total"),
 		invokeLatency: reg.Histogram("invoke_latency_ns"),
+		staleLocal:    reg.Counter("stale_local_retries_total"),
 
 		moves:       reg.Counter("moves_total"),
 		moveErrs:    reg.Counter("move_errors_total"),

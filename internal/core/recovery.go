@@ -735,8 +735,10 @@ func (c *Core) releaseRecovered(id ids.CompletID, dest ids.CoreID) bool {
 		return false
 	}
 	entry.gone = true
-	entry.moveMu.Unlock()
+	// Flip the tracker before releasing W, as moveLocal does, so a blocked
+	// invocation re-routes to dest rather than back to the local copy.
 	c.remove(id, dest)
+	entry.moveMu.Unlock()
 	if cb, ok := entry.anchor.(PostDeparture); ok {
 		cb.PostDeparture(dest)
 	}

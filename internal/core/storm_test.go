@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fargo/internal/ids"
 )
@@ -190,5 +194,96 @@ func TestLayoutStormConcurrent(t *testing.T) {
 	}
 	if got := res[0].(int); got != invokers*perWorker {
 		t.Fatalf("final value %d, want %d (updates lost during movement)", got, invokers*perWorker)
+	}
+}
+
+// blockedOnMoveLock reports whether some goroutine is parked on a complet's
+// movement lock inside invokeLocalFrom (a reader waiting behind a move's W).
+func blockedOnMoveLock() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "runtime_SemacquireRWMutexR") && strings.Contains(g, "invokeLocalFrom") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestInvokeHeldDuringMoveCommitRetriesOnce pins the invariant the
+// concurrent storm only samples: an invocation that is blocked on the
+// complet's movement lock while the move commits wakes to a tracker that
+// already forwards to the destination. It pays exactly one stale-local
+// retry and never spins against the hop budget (DESIGN.md §7).
+func TestInvokeHeldDuringMoveCommitRetriesOnce(t *testing.T) {
+	cl := newCluster(t, "a", "b")
+	for _, c := range cl.cores {
+		if err := c.Registry().Register("StormCounter", (*counterAnchor)(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := cl.core("a")
+	r, err := src.NewComplet("StormCounter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := r.Target()
+	staleBefore := src.met.staleLocal.Value()
+
+	type result struct {
+		res []any
+		err error
+	}
+	done := make(chan result, 1)
+	held := false
+	src.SetMoveStepHook(func(step MoveStep, root ids.CompletID) bool {
+		if step != StepAfterCommit || root != id {
+			return false
+		}
+		// COMMIT is journaled and the move still holds W: start an
+		// invocation and wait until it is parked on the movement lock.
+		// Holding the per-method meter lock until that invocation returns
+		// stalls the move's post-unlock tail (the meter drops), so the
+		// woken invocation sees only what the move published before it
+		// released W.
+		src.mon.methodsMu.Lock()
+		go func() {
+			defer src.mon.methodsMu.Unlock()
+			res, err := src.NewRefTo(id, "StormCounter", "a").Invoke("Add", 1)
+			done <- result{res, err}
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for !blockedOnMoveLock() {
+			if time.Now().After(deadline) {
+				return false
+			}
+			runtime.Gosched()
+		}
+		held = true
+		return false
+	})
+	if err := src.MoveByID(id, "b"); err != nil {
+		t.Fatal(err)
+	}
+	src.SetMoveStepHook(nil)
+	if !held {
+		t.Fatal("invocation never blocked on the movement lock during the commit")
+	}
+
+	got := <-done
+	if errors.Is(got.err, ErrTooManyHops) {
+		t.Fatalf("invocation racing the move spun on the hop budget: %v", got.err)
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if n := got.res[0].(int); n != 1 {
+		t.Fatalf("counter = %d after one Add, want 1", n)
+	}
+	if retries := src.met.staleLocal.Value() - staleBefore; retries != 1 {
+		t.Fatalf("stale-local retries = %d, want exactly 1 (one per raced move)", retries)
+	}
+	if _, ok := cl.core("b").lookup(id); !ok {
+		t.Fatalf("complet %s not hosted at the destination", id)
 	}
 }
